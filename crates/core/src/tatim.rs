@@ -10,7 +10,7 @@ use crate::allocation::Allocation;
 use crate::processor::ProcessorFleet;
 use crate::task::EdgeTask;
 use knapsack::exact::{BranchAndBound, SolverOptions};
-use knapsack::greedy::{self, DensityIndex};
+use knapsack::greedy::{self, DensityIndex, Residuals};
 use knapsack::portfolio::{solve_portfolio, SolveBudget};
 use knapsack::problem::{Item, Packing, Problem, ProblemError, Sack};
 use rl::alloc_env::AllocSpec;
@@ -292,37 +292,28 @@ impl TatimInstance {
             sack_weights.iter().all(|w| w.is_finite() && *w >= 0.0),
             "sack weights must be finite and non-negative"
         );
-        let n = problem.num_items();
         // Same profit-density order (and tie-break) as `greedy`, deduplicated
-        // into the reusable index.
+        // into the reusable index, and the same best-fit candidates.
         let index = DensityIndex::new(problem);
-        let (total_w, total_v) = index.scales();
-        let mut packing = Packing::empty(n);
-        let mut residual: Vec<(f64, f64)> =
-            problem.sacks().iter().map(|s| (s.weight_capacity, s.volume_capacity)).collect();
+        let mut packing = Packing::empty(problem.num_items());
+        let mut residuals = Residuals::new(problem);
         let mut weighted_profit = 0.0;
         for &i in index.order() {
             let item = problem.items()[i];
             // Highest multiplier first; among equal multipliers, best fit.
             let mut best: Option<(usize, f64, f64)> = None;
-            for (s, &(rw, rv)) in residual.iter().enumerate() {
-                if item.weight <= rw + 1e-12 && item.volume <= rv + 1e-12 {
-                    let m = sack_weights[s];
-                    let slack = (rw - item.weight) / total_w + (rv - item.volume) / total_v;
-                    let better = match best {
-                        None => true,
-                        Some((_, bm, bs)) => {
-                            m > bm + 1e-12 || ((m - bm).abs() <= 1e-12 && slack < bs)
-                        }
-                    };
-                    if better {
-                        best = Some((s, m, slack));
-                    }
+            for (s, slack) in residuals.fitting(&item, index.scales()) {
+                let m = sack_weights[s];
+                let better = match best {
+                    None => true,
+                    Some((_, bm, bs)) => m > bm + 1e-12 || ((m - bm).abs() <= 1e-12 && slack < bs),
+                };
+                if better {
+                    best = Some((s, m, slack));
                 }
             }
             if let Some((s, m, _)) = best {
-                residual[s].0 -= item.weight;
-                residual[s].1 -= item.volume;
+                residuals.take(s, &item);
                 packing.assign(i, Some(s));
                 weighted_profit += item.profit * m;
             }

@@ -1,13 +1,18 @@
 //! Property-based tests of the MCMK solver stack invariants:
-//! feasibility of every solver output, greedy ≤ exact ≤ upper bound, and
-//! monotonicity of the optimum in capacity.
+//! feasibility of every solver output, greedy ≤ exact ≤ upper bound,
+//! monotonicity of the optimum in capacity, and the pruned local search
+//! making exactly the moves of the plain scan it replaced.
 
 use knapsack::bounds::upper_bound;
 use knapsack::exact::{brute_force, BranchAndBound, SolverOptions};
-use knapsack::greedy::{greedy, greedy_with_local_search};
-use knapsack::problem::{Item, Problem, Sack};
+use knapsack::greedy::{greedy, greedy_with_local_search, local_search};
+use knapsack::problem::{Item, Packing, Problem, Sack, Solution};
 use proptest::prelude::*;
 use std::sync::Mutex;
+
+#[path = "../src/greedy/local_search_original.rs"]
+mod local_search_original;
+use local_search_original::local_search_original;
 
 /// The parallel-vs-serial tests flip the process-wide thread override;
 /// serialise them so concurrent test threads don't fight over it. (The
@@ -45,8 +50,33 @@ fn medium_problem() -> impl Strategy<Value = Problem> {
         .prop_map(|(items, sacks)| Problem::new(items, sacks).expect("sacks non-empty"))
 }
 
+/// `local_search` against the plain-scan oracle, from the greedy packing
+/// and from the empty one, with one round and with the default 32.
+fn local_search_matches_original(p: &Problem) -> Result<(), TestCaseError> {
+    let empty = Solution { packing: Packing::empty(p.num_items()), profit: 0.0 };
+    for start in [greedy(p), empty] {
+        for max_rounds in [1, 32] {
+            let want = local_search_original(p, start.clone(), max_rounds);
+            let got = local_search(p, start.clone(), max_rounds);
+            prop_assert_eq!(got.packing.placement(), want.packing.placement());
+            prop_assert_eq!(got.profit.to_bits(), want.profit.to_bits());
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn pruned_local_search_matches_original(p in medium_problem()) {
+        local_search_matches_original(&p)?;
+    }
+
+    #[test]
+    fn pruned_local_search_matches_original_on_integer_instances(p in integer_problem()) {
+        local_search_matches_original(&p)?;
+    }
 
     #[test]
     fn exact_matches_brute_force(p in small_problem()) {
