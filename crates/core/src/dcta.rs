@@ -163,27 +163,9 @@ impl DctaAllocator {
         signature: &[f64],
         local_rows: &[Vec<f64>],
     ) -> Result<DctaOutcome, DctaError> {
-        let n = instance.num_tasks();
-        if local_rows.len() != n {
-            return Err(DctaError::FeatureCount { tasks: n, rows: local_rows.len() });
-        }
-        // F1: the general process's allocation (binary contribution).
-        let crl_outcome = self.crl.allocate(instance, signature)?;
-        // F2: the local process's selection scores.
-        let mut combined = Vec::with_capacity(n);
-        let norm = self.w1 + self.w2;
-        for (j, row) in local_rows.iter().enumerate() {
-            let f1 = f64::from(crl_outcome.allocation.processor_of(j).is_some());
-            let f2 = self.local.selection_score(row)?;
-            combined.push((self.w1 * f1 + self.w2 * f2) / norm);
-        }
-        // Feasible projection: knapsack with combined scores as profits…
-        let scored = instance.with_importances(&combined);
-        let packed = scored.solve(&SolverKind::Greedy)?.allocation;
-        // …then speed-aware placement of the selected set: heaviest tasks
-        // onto the fastest processors, respecting both budgets.
-        let allocation = speed_aware_placement(instance, &packed);
-        Ok(DctaOutcome { allocation, combined_scores: combined, crl: crl_outcome })
+        combine(instance, local_rows, &self.local, (self.w1, self.w2), || {
+            self.crl.allocate(instance, signature)
+        })
     }
 
     /// Converts this allocator into a thread-shareable [`SharedDcta`] bound
@@ -227,8 +209,8 @@ impl SharedDcta {
     }
 
     /// Allocates `instance` for the day described by `signature` and
-    /// `local_rows` — [`DctaAllocator::allocate`] arithmetic, verbatim,
-    /// against the frozen general process.
+    /// `local_rows` — the [`DctaAllocator::allocate`] combine step against
+    /// the frozen general process.
     ///
     /// # Errors
     ///
@@ -239,23 +221,44 @@ impl SharedDcta {
         signature: &[f64],
         local_rows: &[Vec<f64>],
     ) -> Result<DctaOutcome, DctaError> {
-        let n = instance.num_tasks();
-        if local_rows.len() != n {
-            return Err(DctaError::FeatureCount { tasks: n, rows: local_rows.len() });
-        }
-        let crl_outcome = self.crl.allocate(instance, signature)?;
-        let mut combined = Vec::with_capacity(n);
-        let norm = self.w1 + self.w2;
-        for (j, row) in local_rows.iter().enumerate() {
-            let f1 = f64::from(crl_outcome.allocation.processor_of(j).is_some());
-            let f2 = self.local.selection_score(row)?;
-            combined.push((self.w1 * f1 + self.w2 * f2) / norm);
-        }
-        let scored = instance.with_importances(&combined);
-        let packed = scored.solve(&SolverKind::Greedy)?.allocation;
-        let allocation = speed_aware_placement(instance, &packed);
-        Ok(DctaOutcome { allocation, combined_scores: combined, crl: crl_outcome })
+        combine(instance, local_rows, &self.local, (self.w1, self.w2), || {
+            self.crl.allocate(instance, signature)
+        })
     }
+}
+
+/// The Eq.-6 combine step both allocators share: checks the feature rows,
+/// runs the general process `general` for its binary allocation `F1`,
+/// scores every task with the local process (`F2`), and projects the
+/// weighted sum onto a feasible allocation.
+fn combine(
+    instance: &TatimInstance,
+    local_rows: &[Vec<f64>],
+    local: &LocalProcess,
+    (w1, w2): (f64, f64),
+    general: impl FnOnce() -> Result<CrlOutcome, CrlError>,
+) -> Result<DctaOutcome, DctaError> {
+    let n = instance.num_tasks();
+    if local_rows.len() != n {
+        return Err(DctaError::FeatureCount { tasks: n, rows: local_rows.len() });
+    }
+    // F1: the general process's allocation (binary contribution).
+    let crl_outcome = general()?;
+    // F2: the local process's selection scores.
+    let mut combined = Vec::with_capacity(n);
+    let norm = w1 + w2;
+    for (j, row) in local_rows.iter().enumerate() {
+        let f1 = f64::from(crl_outcome.allocation.processor_of(j).is_some());
+        let f2 = local.selection_score(row)?;
+        combined.push((w1 * f1 + w2 * f2) / norm);
+    }
+    // Feasible projection: knapsack with combined scores as profits…
+    let scored = instance.with_importances(&combined);
+    let packed = scored.solve(&SolverKind::Greedy)?.allocation;
+    // …then speed-aware placement of the selected set: heaviest tasks
+    // onto the fastest processors, respecting both budgets.
+    let allocation = speed_aware_placement(instance, &packed);
+    Ok(DctaOutcome { allocation, combined_scores: combined, crl: crl_outcome })
 }
 
 /// Re-places the selected tasks (those `packed` scheduled) heaviest-first

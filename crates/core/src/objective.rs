@@ -1,13 +1,10 @@
 //! The typed allocation objective and the unified allocator query.
 //!
-//! Every allocator entry point used to be its own method — plain,
-//! certified, proactive — duplicated across `pipeline` and `shared`, and
-//! none of them saw the network. This module collapses the choices into one
-//! [`Objective`] (importance weighting × survival weighting × route cost,
-//! each optional) consumed by a single
-//! `allocate(&AllocQuery) -> AllocOutcome` on both
+//! One [`Objective`] (importance weighting × survival weighting × route
+//! cost, each optional) shapes every allocation, consumed by the single
+//! `allocate(&AllocQuery) -> AllocOutcome` that both
 //! [`crate::pipeline::PreparedPipeline`] and
-//! [`crate::shared::PreparedCore`].
+//! [`crate::shared::PreparedCore`] run.
 //!
 //! # The route-cost model (topology-aware allocation)
 //!

@@ -1,11 +1,15 @@
 //! End-to-end orchestration: data → MTL models → importance → allocation →
 //! simulated execution.
 //!
-//! [`Pipeline::prepare`] performs the offline phase once (train the COP
-//! models, walk the environment-history days to populate the CRL store and
-//! the local process's training set); [`PreparedPipeline::run_day`] then
-//! executes any allocation [`Method`] on any evaluation day and reports the
-//! paper's metrics: processing time `PT` and decision performance `H`.
+//! [`Pipeline::builder`] configures and [`PipelineBuilder::prepare`] runs
+//! the offline phase once (train the COP models, walk the
+//! environment-history days to populate the CRL store and the local
+//! process's training set). [`PreparedPipeline::run`] then executes any
+//! [`RunSpec`] — an allocation [`Method`] on an evaluation day, optionally
+//! under faults — and reports the paper's metrics: processing time `PT` and
+//! decision performance `H`. [`PreparedPipeline::into_core`] freezes the
+//! prepared state into the `&self` serving form; both forms share one
+//! [`Prepared`] implementation of the online algorithm.
 
 use crate::allocation::Allocation;
 use crate::availability::{
@@ -13,14 +17,15 @@ use crate::availability::{
 };
 use crate::baselines::{dml_balanced, random_mapping};
 use crate::cache::{CacheStats, ImportanceCache};
-use crate::crl_alloc::CrlAllocator;
-use crate::dcta::{DctaAllocator, DctaError};
+use crate::crl_alloc::{CrlAllocator, CrlOutcome};
+use crate::dcta::{DctaAllocator, DctaError, DctaOutcome};
 use crate::features::{local_features, TaskHistory};
 use crate::importance::{prediction_features, CopModels, ImportanceError, ImportanceEvaluator};
 use crate::local::{LocalError, LocalModelKind, LocalProcess};
 use crate::objective::{self, AllocOutcome, AllocQuery, Objective};
 use crate::processor::{FleetError, ProcessorFleet};
 use crate::recovery::{self, RecoveryError, RecoveryMode};
+use crate::shared::FrozenLearners;
 use crate::task::{EdgeTask, TaskId};
 use crate::tatim::{SolverKind, TatimError, TatimInstance, EXACT_ORACLE_NODE_BUDGET};
 use buildings::scenario::Scenario;
@@ -38,6 +43,7 @@ use learn::transfer::MtlConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl::crl::{CrlConfig, CrlError};
+use std::borrow::Borrow;
 use std::fmt;
 use std::ops::Range;
 use std::time::Instant;
@@ -80,8 +86,9 @@ pub enum Topology {
     /// The paper's star WiFi testbed ([`PipelineConfig::workers`] workers
     /// behind per-node links).
     Star,
-    /// A seeded grid-with-chords mesh; the spec fixes the node count, so
-    /// [`PipelineConfig::workers`] is ignored.
+    /// A seeded grid-with-chords mesh. The spec fixes the node count;
+    /// [`PipelineConfig::workers`] still divides every processor's time
+    /// budget (see its docs).
     Mesh(MeshSpec),
 }
 
@@ -90,8 +97,11 @@ pub enum Topology {
 pub struct PipelineConfig {
     /// MTL settings for the COP models.
     pub mtl: MtlConfig,
-    /// Worker count of the simulated testbed (Fig. 9 sweeps this); the
-    /// paper's full testbed has 9.
+    /// Worker count of the star testbed (Fig. 9 sweeps this); the paper's
+    /// full testbed has 9. On every topology, mesh included, it is also
+    /// the divisor `M` of the per-processor time limit
+    /// `T = time_limit_fraction · Σ t_j / M`, whatever the actual number
+    /// of processors.
     pub workers: usize,
     /// Simulated network topology (star testbed by default).
     pub topology: Topology,
@@ -121,7 +131,7 @@ pub struct PipelineConfig {
     /// recovery as a fresh round on the survivors; lower it to model a
     /// recovery that must finish inside the original round's remaining
     /// window (tasks longer than the scaled budget become unplaceable).
-    /// Only [`PreparedPipeline::run_day_with_faults`] reads it.
+    /// Only faulted runs ([`RunSpec::with_faults`]) read it.
     pub recovery_budget_fraction: f64,
     /// Shaping of the learned per-node availability posterior
     /// ([`RecoveryMode::Proactive`] runs feed and read it).
@@ -336,10 +346,8 @@ impl FaultRunReport {
 
 /// A complete description of one evaluation run: which [`Method`] on which
 /// day, optionally under a [`FaultSchedule`] with a [`RecoveryMode`], and
-/// optionally pinned to a thread count. The single entry point
-/// [`PreparedPipeline::run`] consumes it; the older
-/// `run_day`/`run_day_with_faults` pair are thin wrappers over the same
-/// path.
+/// optionally pinned to a thread count. [`PreparedPipeline::run`] and
+/// [`crate::shared::PreparedCore::run`] consume it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     method: Method,
@@ -542,28 +550,6 @@ impl Pipeline {
         self.prepare_impl(scenario, ImportanceCache::new(), false, None)
     }
 
-    /// Runs the offline phase seeded with an existing decision-performance
-    /// cache — typically one restored from a previous run's dump
-    /// ([`ImportanceCache::load_file`]), which lets a repeated sweep skip
-    /// the offline importance sweep entirely. Keys carry the scenario seed
-    /// and evaluator fingerprint, so a mismatched cache is merely useless,
-    /// never wrong.
-    ///
-    /// Note: superseded by `Pipeline::builder(config).cache(c).prepare(s)`,
-    /// which composes with the other offline options; this wrapper remains
-    /// for source compatibility and delegates to the same path.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] variants.
-    pub fn prepare_with_cache<'a>(
-        &self,
-        scenario: &'a Scenario,
-        cache: ImportanceCache,
-    ) -> Result<PreparedPipeline<'a>, PipelineError> {
-        self.prepare_impl(scenario, cache, false, None)
-    }
-
     fn prepare_impl<'a>(
         &self,
         scenario: &'a Scenario,
@@ -613,38 +599,45 @@ impl Pipeline {
         // True importance of every evaluation day (oracles + CRL history +
         // metrics all need it). The cache memoises every decision-function
         // evaluation from here on: the full-mask result is shared by all
-        // leave-one-out columns of a day, and `run_day`/`execute` re-query
+        // leave-one-out columns of a day, and online runs re-query
         // masks the offline phase already priced.
         let evaluator = ImportanceEvaluator::new(scenario, &models).with_cache(&cache);
         let true_importances = evaluator.importance_matrix()?;
+        let mut frame = Frame {
+            scenario,
+            config: cfg.clone(),
+            models,
+            cluster,
+            fleet,
+            route_factors,
+            tasks,
+            true_importances,
+            history: TaskHistory::new(n),
+            cache,
+            availability: availability.unwrap_or_else(|| AvailabilityModel::new(cfg.availability)),
+        };
 
         // Offline phase: walk the history days, feeding the CRL store and
-        // the local process's training set.
+        // the local process's training set. The offline store must see the
+        // same instance geometry the online queries will.
+        let base = frame.learner_instance(frame.fleet.clone());
         let mut crl = CrlAllocator::new(cfg.crl.clone());
-        let mut history = TaskHistory::new(n);
         let mut local_rows = Vec::new();
         let mut local_labels = Vec::new();
-        let mut base = TatimInstance::new(tasks.clone(), fleet.clone());
-        if cfg.crl.route_feature {
-            // The route feature column changes the DQN state dimension, so
-            // the offline store must see the same geometry the online
-            // queries will.
-            base = base.with_route_factors(route_factors.clone());
-        }
         for d in 0..cfg.env_history_days {
             let day = scenario.day(d);
-            let imp = &true_importances[d];
+            let imp = &frame.true_importances[d];
             crl.observe(day.sensing.clone(), imp.clone())?;
             // Optimal selection labels from the greedy oracle.
             let opt = base.with_importances(imp).solve(&SolverKind::Greedy)?.allocation;
             let selected: Vec<bool> = (0..n).map(|j| opt.processor_of(j).is_some()).collect();
             for j in 0..n {
-                local_rows.push(local_features(scenario, &models, &history, day, j));
+                local_rows.push(local_features(scenario, &frame.models, &frame.history, day, j));
                 local_labels.push(if selected[j] { 1.0 } else { -1.0 });
             }
             // Update the rolling record *after* extracting features (the
             // features describe what was known before the day ran).
-            history.record_selection(&selected);
+            frame.history.record_selection(&selected);
             for j in 0..n {
                 let spec = &scenario.tasks()[j];
                 let plant = scenario.plant(spec.building);
@@ -661,25 +654,25 @@ impl Pipeline {
                         &day.weather,
                         mid,
                     );
-                    history.record_prediction(
+                    frame.history.record_prediction(
                         j,
-                        models.predict(j, &f),
+                        frame.models.predict(j, &f),
                         chiller.cop(mid, day.weather.outdoor_temp_c),
                     );
                 }
             }
         }
         let local = LocalProcess::train(local_rows, local_labels, cfg.local_kind, cfg.seed)?;
-        let dcta = DctaAllocator::new(
+        let mut dcta = DctaAllocator::new(
             CrlAllocator::new(cfg.crl.clone()),
-            local.clone(),
+            local,
             cfg.weights.0,
             cfg.weights.1,
         )?;
         // DCTA's internal CRL shares the same history.
-        let mut dcta = dcta;
         for d in 0..cfg.env_history_days {
-            dcta.crl_mut().observe(scenario.day(d).sensing.clone(), true_importances[d].clone())?;
+            let importances = frame.true_importances[d].clone();
+            dcta.crl_mut().observe(scenario.day(d).sensing.clone(), importances)?;
         }
         if pretrain {
             // Eagerly train an agent per environment so the first online
@@ -688,33 +681,8 @@ impl Pipeline {
             dcta.crl_mut().pretrain(&base)?;
         }
 
-        Ok(PreparedPipeline {
-            scenario,
-            config: cfg.clone(),
-            models,
-            cluster,
-            fleet,
-            route_factors,
-            tasks,
-            true_importances,
-            crl,
-            dcta,
-            history,
-            cache,
-            availability: availability.unwrap_or_else(|| AvailabilityModel::new(cfg.availability)),
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0x51AB),
-        })
-    }
-
-    /// Convenience one-shot: prepare and run DCTA on evaluation day `day`.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] variants.
-    pub fn run_day(&self, scenario: &Scenario, day: usize) -> Result<DayReport, PipelineError> {
-        let mut prepared = self.prepare(scenario)?;
-        let day = prepared.test_days().start + day;
-        prepared.run_day(Method::Dcta, day)
+        let rng = StdRng::seed_from_u64(cfg.seed ^ 0x51AB);
+        Ok(Prepared { frame, learners: BatchLearners { crl, dcta, rng } })
     }
 }
 
@@ -739,7 +707,11 @@ pub struct PipelineBuilder {
 
 impl PipelineBuilder {
     /// Seeds the offline phase with an existing decision-performance cache
-    /// (see [`Pipeline::prepare_with_cache`] for the key-safety argument).
+    /// — typically one restored from a previous run's dump
+    /// ([`ImportanceCache::load_file`]), which lets a repeated sweep skip
+    /// the offline importance sweep entirely. Keys carry the scenario seed
+    /// and evaluator fingerprint, so a mismatched cache is merely useless,
+    /// never wrong.
     #[must_use]
     pub fn cache(mut self, cache: ImportanceCache) -> Self {
         self.cache = cache;
@@ -797,11 +769,89 @@ impl PipelineBuilder {
     }
 }
 
-/// The pipeline after its offline phase: ready to allocate and execute any
-/// evaluation day.
+/// The pipeline after its offline phase, ready to allocate and execute any
+/// evaluation day. Generic over how it holds its scenario (`S`: borrowed or
+/// owned) and which learned allocators it consults (`L`); the two forms in
+/// use are [`PreparedPipeline`] and [`crate::shared::PreparedCore`]. Both
+/// run the one online algorithm — allocate, execute, faulted run with
+/// recovery — and differ only in their learners and in what each form lets
+/// a caller mutate.
 #[derive(Debug)]
-pub struct PreparedPipeline<'a> {
-    scenario: &'a Scenario,
+pub struct Prepared<S, L> {
+    pub(crate) frame: Frame<S>,
+    pub(crate) learners: L,
+}
+
+/// The batch form of [`Prepared`]: borrows its scenario, takes `&mut self`
+/// to allocate, and learns as it runs (lazily trained CRL agents, the
+/// sequential RandomMapping stream, [`Self::observe_day`], and the
+/// availability posterior that [`RecoveryMode::Proactive`] runs feed).
+pub type PreparedPipeline<'a> = Prepared<&'a Scenario, BatchLearners>;
+
+/// The learned allocators of a [`PreparedPipeline`]: CRL and DCTA train
+/// their agents lazily on first touch, and RandomMapping draws from one
+/// sequential RNG stream seeded at preparation, so a draw depends on how
+/// many RandomMapping allocations preceded it.
+#[derive(Debug)]
+pub struct BatchLearners {
+    crl: CrlAllocator,
+    dcta: DctaAllocator,
+    rng: StdRng,
+}
+
+/// The per-form half of the online algorithm: the general process `F1`,
+/// the cooperative DCTA combiner, and the RandomMapping draw.
+pub(crate) trait Learners {
+    /// Whether [`RecoveryMode::Proactive`] runs fold their failure history
+    /// into the availability posterior.
+    const LEARNS_AVAILABILITY: bool;
+
+    fn crl(
+        &mut self,
+        blind: &TatimInstance,
+        signature: &[f64],
+    ) -> Result<CrlOutcome, PipelineError>;
+
+    fn dcta(
+        &mut self,
+        blind: &TatimInstance,
+        signature: &[f64],
+        local_rows: &[Vec<f64>],
+    ) -> Result<DctaOutcome, PipelineError>;
+
+    fn random_mapping(&mut self, blind: &TatimInstance, seed: u64, day: usize) -> Allocation;
+}
+
+impl Learners for BatchLearners {
+    const LEARNS_AVAILABILITY: bool = true;
+
+    fn crl(
+        &mut self,
+        blind: &TatimInstance,
+        signature: &[f64],
+    ) -> Result<CrlOutcome, PipelineError> {
+        Ok(self.crl.allocate(blind, signature)?)
+    }
+
+    fn dcta(
+        &mut self,
+        blind: &TatimInstance,
+        signature: &[f64],
+        local_rows: &[Vec<f64>],
+    ) -> Result<DctaOutcome, PipelineError> {
+        Ok(self.dcta.allocate(blind, signature, local_rows)?)
+    }
+
+    fn random_mapping(&mut self, blind: &TatimInstance, _seed: u64, _day: usize) -> Allocation {
+        random_mapping(blind, &mut self.rng)
+    }
+}
+
+/// Everything the online algorithm reads besides the learners, shared by
+/// both prepared forms.
+#[derive(Debug)]
+pub(crate) struct Frame<S> {
+    scenario: S,
     config: PipelineConfig,
     models: CopModels,
     cluster: Cluster,
@@ -809,62 +859,64 @@ pub struct PreparedPipeline<'a> {
     route_factors: Vec<f64>,
     tasks: Vec<EdgeTask>,
     true_importances: Vec<Vec<f64>>,
-    crl: CrlAllocator,
-    dcta: DctaAllocator,
     history: TaskHistory,
     cache: ImportanceCache,
     availability: AvailabilityModel,
-    rng: StdRng,
 }
 
-impl<'a> PreparedPipeline<'a> {
+impl<S: Borrow<Scenario>, L> Prepared<S, L> {
     /// The evaluation (non-history) day range.
     pub fn test_days(&self) -> Range<usize> {
-        self.config.env_history_days..self.scenario.days().len()
+        self.frame.test_days()
     }
 
-    /// The scenario under evaluation.
-    pub fn scenario(&self) -> &'a Scenario {
-        self.scenario
+    /// The pipeline configuration this state was prepared with.
+    pub fn config(&self) -> &PipelineConfig {
+        &self.frame.config
     }
 
     /// The simulated cluster.
     pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
-    /// Mutable cluster access (bandwidth sweeps).
-    pub fn cluster_mut(&mut self) -> &mut Cluster {
-        &mut self.cluster
+        &self.frame.cluster
     }
 
     /// The processor fleet.
     pub fn fleet(&self) -> &ProcessorFleet {
-        &self.fleet
+        &self.frame.fleet
+    }
+
+    /// The per-processor route budget factors of the prepared cluster
+    /// (`1.0` everywhere on the uniform star testbed), aligned with
+    /// [`Self::fleet`] columns.
+    pub fn route_factors(&self) -> &[f64] {
+        &self.frame.route_factors
     }
 
     /// The trained COP models.
     pub fn models(&self) -> &CopModels {
-        &self.models
+        &self.frame.models
     }
 
-    /// The pipeline's shared decision-performance cache.
+    /// The shared decision-performance cache.
     pub fn importance_cache(&self) -> &ImportanceCache {
-        &self.cache
+        &self.frame.cache
     }
 
     /// Hit/miss counters of the decision-performance cache — part of the
-    /// pipeline's run summary alongside PT and `H`.
+    /// run summary alongside PT and `H`.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.frame.cache.stats()
     }
 
-    /// The learned per-node availability posterior. Interior-mutable:
-    /// callers may [`AvailabilityModel::absorb`] external failure history
-    /// or persist it ([`AvailabilityModel::save_file`]) through `&self`.
-    /// [`RecoveryMode::Proactive`] runs feed it automatically.
+    /// The learned per-node availability posterior that
+    /// [`RecoveryMode::Proactive`] runs read. Interior-mutable: callers may
+    /// [`AvailabilityModel::absorb`] external failure history or persist it
+    /// ([`AvailabilityModel::save_file`]) through `&self`. A
+    /// [`PreparedPipeline`]'s Proactive runs also feed it; a
+    /// [`crate::shared::PreparedCore`] only reads it, so repeat runs of the
+    /// same [`RunSpec`] stay bit-identical whatever ran in between.
     pub fn availability(&self) -> &AvailabilityModel {
-        &self.availability
+        &self.frame.availability
     }
 
     /// True importances of evaluation day `day`.
@@ -873,7 +925,23 @@ impl<'a> PreparedPipeline<'a> {
     ///
     /// Panics if `day` is out of range.
     pub fn true_importances(&self, day: usize) -> &[f64] {
-        &self.true_importances[day]
+        &self.frame.true_importances[day]
+    }
+
+    /// The sensing signature of day `day` (the CRL context key).
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::BadDay`] for out-of-range days.
+    pub fn signature_of_day(&self, day: usize) -> Result<&[f64], PipelineError> {
+        self.frame.check_day(day)?;
+        Ok(&self.frame.scenario().day(day).sensing)
+    }
+
+    /// The blind TATIM instance (no importances priced in) every online
+    /// allocator decides over.
+    pub fn blind_instance(&self) -> TatimInstance {
+        TatimInstance::new(self.frame.tasks.clone(), self.frame.fleet.clone())
     }
 
     /// The TATIM instance of a day, priced with its true importances.
@@ -882,17 +950,35 @@ impl<'a> PreparedPipeline<'a> {
     ///
     /// [`PipelineError::BadDay`] for out-of-range days.
     pub fn instance_for_day(&self, day: usize) -> Result<TatimInstance, PipelineError> {
-        self.check_day(day)?;
-        let base = TatimInstance::new(self.tasks.clone(), self.fleet.clone());
-        Ok(base.with_importances(&self.true_importances[day]))
+        self.frame.instance_for_day(day)
     }
 
-    fn check_day(&self, day: usize) -> Result<(), PipelineError> {
-        let range = self.test_days();
-        if !range.contains(&day) {
-            return Err(PipelineError::BadDay { day, range });
-        }
-        Ok(())
+    /// Executes a pre-computed allocation on the simulated testbed (sweeps
+    /// use it to vary the cluster between allocation and execution).
+    ///
+    /// # Errors
+    ///
+    /// See [`PipelineError`] variants.
+    pub fn execute(
+        &self,
+        method: Method,
+        day: usize,
+        allocation: Allocation,
+        allocator_overhead_s: f64,
+    ) -> Result<DayReport, PipelineError> {
+        self.frame.execute(method, day, allocation, allocator_overhead_s)
+    }
+}
+
+impl<'a> PreparedPipeline<'a> {
+    /// The scenario under evaluation.
+    pub fn scenario(&self) -> &'a Scenario {
+        self.frame.scenario
+    }
+
+    /// Mutable cluster access (bandwidth sweeps).
+    pub fn cluster_mut(&mut self) -> &mut Cluster {
+        &mut self.frame.cluster
     }
 
     /// Produces the allocation described by `query`: `query.method()` on
@@ -908,6 +994,140 @@ impl<'a> PreparedPipeline<'a> {
     ///
     /// See [`PipelineError`] variants.
     pub fn allocate(&mut self, query: &AllocQuery) -> Result<AllocOutcome, PipelineError> {
+        self.frame.allocate(&mut self.learners, query)
+    }
+
+    /// Feeds evaluation day `day`'s observed importances back into the CRL
+    /// environment stores — the accumulating-store behaviour of the paper's
+    /// online mode (footnote 2 / §VII): "the environment can change over
+    /// time, due to the accumulating size of training data".
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::BadDay`] for out-of-range days; propagates store
+    /// shape errors.
+    pub fn observe_day(&mut self, day: usize) -> Result<(), PipelineError> {
+        self.frame.check_day(day)?;
+        let sensing = self.frame.scenario.day(day).sensing.clone();
+        let importances = self.frame.true_importances[day].clone();
+        self.learners.crl.observe(sensing.clone(), importances.clone())?;
+        self.learners.dcta.crl_mut().observe(sensing, importances)?;
+        Ok(())
+    }
+
+    /// Executes one evaluation run described by `spec`. A fault-free spec
+    /// yields [`RunReport::Healthy`]; a spec with a schedule yields
+    /// [`RunReport::Faulted`]. A thread override, when present, is scoped
+    /// to this call.
+    ///
+    /// # Errors
+    ///
+    /// See [`PipelineError`] variants.
+    pub fn run(&mut self, spec: &RunSpec) -> Result<RunReport, PipelineError> {
+        let _threads = spec.threads.map(parallel::ScopedThreads::new);
+        self.frame.run(&mut self.learners, spec)
+    }
+
+    /// Freezes this pipeline into a [`crate::shared::PreparedCore`] — the
+    /// `Send + Sync`, `&self`-only form a serving layer shares across
+    /// request threads. The core owns a clone of the scenario (no borrow to
+    /// keep alive) and retrains any lazily-cached CRL agents race-free with
+    /// the `pretrain` per-key seed formula, so for every method except
+    /// [`Method::RandomMapping`] its runs are bit-identical to this
+    /// pipeline's with `.pretrain(true)` (see the `shared` module docs for
+    /// the `RandomMapping` caveat).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CrlError`] from freezing the CRL allocators (e.g. an
+    /// empty environment store).
+    pub fn into_core(self) -> Result<crate::shared::PreparedCore, PipelineError> {
+        let base = self.frame.learner_instance(self.frame.fleet.clone());
+        let BatchLearners { crl, dcta, .. } = self.learners;
+        let learners = FrozenLearners { crl: crl.freeze(&base)?, dcta: dcta.freeze(&base)? };
+        let f = self.frame;
+        let frame = Frame {
+            scenario: Scenario::clone(f.scenario),
+            config: f.config,
+            models: f.models,
+            cluster: f.cluster,
+            fleet: f.fleet,
+            route_factors: f.route_factors,
+            tasks: f.tasks,
+            true_importances: f.true_importances,
+            history: f.history,
+            cache: f.cache,
+            availability: f.availability,
+        };
+        Ok(Prepared { frame, learners })
+    }
+}
+
+impl<S: Borrow<Scenario>> Frame<S> {
+    pub(crate) fn scenario(&self) -> &Scenario {
+        self.scenario.borrow()
+    }
+
+    fn test_days(&self) -> Range<usize> {
+        self.config.env_history_days..self.scenario().days().len()
+    }
+
+    fn check_day(&self, day: usize) -> Result<(), PipelineError> {
+        let range = self.test_days();
+        if !range.contains(&day) {
+            return Err(PipelineError::BadDay { day, range });
+        }
+        Ok(())
+    }
+
+    fn instance_for_day(&self, day: usize) -> Result<TatimInstance, PipelineError> {
+        self.check_day(day)?;
+        let base = TatimInstance::new(self.tasks.clone(), self.fleet.clone());
+        Ok(base.with_importances(&self.true_importances[day]))
+    }
+
+    /// The instance the learners decide over on `fleet`: carries the route
+    /// feature column when [`CrlConfig::route_feature`] is on, since it
+    /// changes the DQN state dimension.
+    fn learner_instance(&self, fleet: ProcessorFleet) -> TatimInstance {
+        let instance = TatimInstance::new(self.tasks.clone(), fleet);
+        if self.config.crl.route_feature {
+            instance.with_route_factors(self.route_factors.clone())
+        } else {
+            instance
+        }
+    }
+
+    /// The Table-I local feature rows of day `day` (DCTA's `F2` input).
+    fn local_rows(&self, day: usize) -> Vec<Vec<f64>> {
+        let ctx = self.scenario().day(day);
+        (0..self.tasks.len())
+            .map(|j| local_features(self.scenario(), &self.models, &self.history, ctx, j))
+            .collect()
+    }
+
+    fn sim_tasks(&self) -> Result<Vec<SimTask>, PipelineError> {
+        Ok(self
+            .tasks
+            .iter()
+            .map(|t| SimTask::new(t.input_bits(), self.config.result_bits, t.resource_demand()))
+            .collect::<Result<_, _>>()?)
+    }
+
+    fn evaluator(&self) -> ImportanceEvaluator<'_> {
+        ImportanceEvaluator::new(self.scenario(), &self.models).with_cache(&self.cache)
+    }
+
+    /// The Thompson draw seed every survival query of day `day` shares.
+    fn draw_seed(&self, day: usize) -> u64 {
+        proactive_draw_seed(self.config.proactive.seed ^ self.config.seed, day as u64)
+    }
+
+    pub(crate) fn allocate(
+        &self,
+        learners: &mut impl Learners,
+        query: &AllocQuery,
+    ) -> Result<AllocOutcome, PipelineError> {
         let (method, day) = (query.method(), query.day());
         let obj = query.objective();
         self.check_day(day)?;
@@ -921,13 +1141,9 @@ impl<'a> PreparedPipeline<'a> {
         } else {
             self.fleet.clone()
         };
-        let mut blind = TatimInstance::new(self.tasks.clone(), fleet);
-        if self.config.crl.route_feature {
-            blind = blind.with_route_factors(self.route_factors.clone());
-        }
-        let mut certificate = None;
-        let allocation = if obj.survival() {
-            let ctx = self.scenario.day(day);
+        let blind = self.learner_instance(fleet);
+        let (allocation, certificate) = if obj.survival() {
+            let sensing = &self.scenario().day(day).sensing;
             // The importance estimates the method would act on; RM/DML
             // carry no per-task signal and fall back to their plain path.
             let estimates: Option<Vec<f64>> = match obj.importances() {
@@ -936,28 +1152,21 @@ impl<'a> PreparedPipeline<'a> {
                     Method::GreedyOracle | Method::ExactOracle => {
                         Some(self.true_importances[day].clone())
                     }
-                    Method::Crl => {
-                        Some(self.crl.allocate(&blind, &ctx.sensing)?.estimated_importances)
-                    }
+                    Method::Crl => Some(learners.crl(&blind, sensing)?.estimated_importances),
                     Method::Dcta => {
-                        let rows: Vec<Vec<f64>> = (0..self.tasks.len())
-                            .map(|j| {
-                                local_features(self.scenario, &self.models, &self.history, ctx, j)
-                            })
-                            .collect();
-                        Some(self.dcta.allocate(&blind, &ctx.sensing, &rows)?.combined_scores)
+                        Some(learners.dcta(&blind, sensing, &self.local_rows(day))?.combined_scores)
                     }
                     Method::RandomMapping | Method::Dml => None,
                 },
             };
             match estimates {
-                None => self.plain_allocation(method, day, &blind, None, &mut certificate)?,
+                None => self.plain_allocation(learners, method, day, &blind, None)?,
                 Some(mut est) => {
                     for e in &mut est {
                         *e = e.clamp(0.0, 1.0);
                     }
                     let pc = self.config.proactive;
-                    let draw_seed = proactive_draw_seed(pc.seed ^ self.config.seed, day as u64);
+                    let draw_seed = self.draw_seed(day);
                     let weights: Vec<f64> = self
                         .fleet
                         .processors()
@@ -967,193 +1176,64 @@ impl<'a> PreparedPipeline<'a> {
                                 + pc.weight * self.availability.survival(p.node.0, &pc, draw_seed)
                         })
                         .collect();
-                    blind
-                        .with_importances(&est)
-                        .solve(&SolverKind::WeightedGreedy(weights))?
-                        .allocation
+                    let solver = SolverKind::WeightedGreedy(weights);
+                    (blind.with_importances(&est).solve(&solver)?.allocation, None)
                 }
             }
         } else {
-            self.plain_allocation(method, day, &blind, obj.importances(), &mut certificate)?
+            self.plain_allocation(learners, method, day, &blind, obj.importances())?
         };
         Ok(AllocOutcome { allocation, overhead_s: start.elapsed().as_secs_f64(), certificate })
     }
 
     /// The classic per-method dispatch: importances from `overrides` when
     /// set, else the day's true importances (oracles) or the method's own
-    /// estimates (CRL/DCTA).
+    /// estimates (CRL/DCTA). Only [`Method::ExactOracle`] certifies.
     fn plain_allocation(
-        &mut self,
+        &self,
+        learners: &mut impl Learners,
         method: Method,
         day: usize,
         blind: &TatimInstance,
         overrides: Option<&[f64]>,
-        certificate: &mut Option<SolveCertificate>,
-    ) -> Result<Allocation, PipelineError> {
-        let ctx = self.scenario.day(day);
+    ) -> Result<(Allocation, Option<SolveCertificate>), PipelineError> {
+        let sensing = &self.scenario().day(day).sensing;
         let importances = overrides.unwrap_or(&self.true_importances[day]);
-        Ok(match method {
-            Method::RandomMapping => random_mapping(blind, &mut self.rng),
+        let allocation = match method {
+            Method::RandomMapping => learners.random_mapping(blind, self.config.seed, day),
             Method::Dml => dml_balanced(blind),
             Method::GreedyOracle => {
                 blind.with_importances(importances).solve(&SolverKind::Greedy)?.allocation
             }
             Method::ExactOracle => {
-                let report = blind.with_importances(importances).solve(&SolverKind::Portfolio(
-                    SolveBudget::NodeBudget(EXACT_ORACLE_NODE_BUDGET),
-                ))?;
-                *certificate = report.certificate;
-                report.allocation
-            }
-            Method::Crl => self.crl.allocate(blind, &ctx.sensing)?.allocation,
-            Method::Dcta => {
-                let rows: Vec<Vec<f64>> = (0..self.tasks.len())
-                    .map(|j| local_features(self.scenario, &self.models, &self.history, ctx, j))
-                    .collect();
-                self.dcta.allocate(blind, &ctx.sensing, &rows)?.allocation
-            }
-        })
-    }
-
-    /// [`Self::allocate`] under the blank objective, returning the tuple
-    /// shape of the pre-query API.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] variants.
-    #[deprecated(note = "use `allocate(&AllocQuery::new(method, day))`")]
-    pub fn allocate_certified(
-        &mut self,
-        method: Method,
-        day: usize,
-    ) -> Result<(Allocation, f64, Option<SolveCertificate>), PipelineError> {
-        let out = self.allocate(&AllocQuery::new(method, day))?;
-        Ok((out.allocation, out.overhead_s, out.certificate))
-    }
-
-    /// [`Self::allocate`] under `Objective::new().with_survival(true)`,
-    /// returning the tuple shape of the pre-query API.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] variants.
-    #[deprecated(note = "use `allocate` with `Objective::new().with_survival(true)`")]
-    pub fn allocate_proactive(
-        &mut self,
-        method: Method,
-        day: usize,
-    ) -> Result<(Allocation, f64), PipelineError> {
-        let query =
-            AllocQuery::new(method, day).with_objective(Objective::new().with_survival(true));
-        let out = self.allocate(&query)?;
-        Ok((out.allocation, out.overhead_s))
-    }
-
-    /// The per-processor route budget factors of the prepared cluster
-    /// (`1.0` everywhere on the uniform star testbed), aligned with
-    /// [`Self::fleet`] columns.
-    pub fn route_factors(&self) -> &[f64] {
-        &self.route_factors
-    }
-
-    /// Feeds evaluation day `day`'s observed importances back into the CRL
-    /// environment stores — the accumulating-store behaviour of the paper's
-    /// online mode (footnote 2 / §VII): "the environment can change over
-    /// time, due to the accumulating size of training data".
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::BadDay`] for out-of-range days; propagates store
-    /// shape errors.
-    pub fn observe_day(&mut self, day: usize) -> Result<(), PipelineError> {
-        self.check_day(day)?;
-        let sensing = self.scenario.day(day).sensing.clone();
-        let importances = self.true_importances[day].clone();
-        self.crl.observe(sensing.clone(), importances.clone())?;
-        self.dcta.crl_mut().observe(sensing, importances)?;
-        Ok(())
-    }
-
-    /// Executes one evaluation run described by `spec` — the single entry
-    /// point behind [`Self::run_day`] and [`Self::run_day_with_faults`].
-    /// A fault-free spec yields [`RunReport::Healthy`]; a spec with a
-    /// schedule yields [`RunReport::Faulted`]. A thread override, when
-    /// present, is scoped to this call.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] variants.
-    pub fn run(&mut self, spec: &RunSpec) -> Result<RunReport, PipelineError> {
-        let _threads = spec.threads.map(parallel::ScopedThreads::new);
-        match &spec.faults {
-            None => {
-                let query =
-                    AllocQuery::new(spec.method, spec.day).with_objective(spec.objective.clone());
-                let out = self.allocate(&query)?;
-                let mut report =
-                    self.execute(spec.method, spec.day, out.allocation, out.overhead_s)?;
-                report.solver = out.certificate;
-                Ok(RunReport::Healthy(report))
-            }
-            Some((schedule, mode)) => {
+                let budget = SolveBudget::NodeBudget(EXACT_ORACLE_NODE_BUDGET);
                 let report =
-                    self.run_faulted_impl(spec.method, spec.day, schedule, *mode, &spec.objective)?;
-                Ok(RunReport::Faulted(Box::new(report)))
+                    blind.with_importances(importances).solve(&SolverKind::Portfolio(budget))?;
+                return Ok((report.allocation, report.certificate));
             }
-        }
+            Method::Crl => learners.crl(blind, sensing)?.allocation,
+            Method::Dcta => learners.dcta(blind, sensing, &self.local_rows(day))?.allocation,
+        };
+        Ok((allocation, None))
     }
 
-    /// Allocates with `method` and executes on the simulated testbed,
-    /// returning the full report.
-    ///
-    /// Note: superseded by [`Self::run`] with a [`RunSpec`]; this thin
-    /// wrapper remains for source compatibility and delegates to the same
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] variants.
-    pub fn run_day(&mut self, method: Method, day: usize) -> Result<DayReport, PipelineError> {
-        match self.run(&RunSpec::new(method, day))? {
-            RunReport::Healthy(r) => Ok(r),
-            RunReport::Faulted(_) => unreachable!("fault-free spec produced a fault report"),
-        }
-    }
-
-    /// Executes a pre-computed allocation (used by sweeps that vary the
-    /// cluster between allocation and execution).
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] variants.
-    pub fn execute(
-        &mut self,
+    fn execute(
+        &self,
         method: Method,
         day: usize,
         allocation: Allocation,
         allocator_overhead_s: f64,
     ) -> Result<DayReport, PipelineError> {
         self.check_day(day)?;
-        let sim_tasks: Vec<SimTask> = self
-            .tasks
-            .iter()
-            .map(|t| SimTask::new(t.input_bits(), self.config.result_bits, t.resource_demand()))
-            .collect::<Result<_, _>>()?;
+        let sim_tasks = self.sim_tasks()?;
         let node_assignment = allocation.to_node_assignment(&self.fleet);
         let report = simulate(&self.cluster, &sim_tasks, &node_assignment, self.config.sim)?;
 
         let available: Vec<bool> =
             (0..self.tasks.len()).map(|j| allocation.processor_of(j).is_some()).collect();
-        let evaluator =
-            ImportanceEvaluator::new(self.scenario, &self.models).with_cache(&self.cache);
         let decision_performance =
-            evaluator.decision_performance(self.scenario.day(day), &available)?;
-        let captured_importance: f64 = available
-            .iter()
-            .zip(&self.true_importances[day])
-            .filter(|(&a, _)| a)
-            .map(|(_, &i)| i)
-            .sum();
+            self.evaluator().decision_performance(self.scenario().day(day), &available)?;
+        let captured_importance = self.importance_of(day, &available);
         let scheduled = allocation.scheduled_count();
         let mut processing_time_s = report.processing_time;
         if self.config.include_allocation_overhead {
@@ -1171,75 +1251,46 @@ impl<'a> PreparedPipeline<'a> {
         })
     }
 
+    /// True importance of day `day` captured by the tasks `mask` selects.
+    fn importance_of(&self, day: usize, mask: &[bool]) -> f64 {
+        mask.iter().zip(&self.true_importances[day]).filter(|(&m, _)| m).map(|(_, &i)| i).sum()
+    }
+
+    pub(crate) fn run<L: Learners>(
+        &self,
+        learners: &mut L,
+        spec: &RunSpec,
+    ) -> Result<RunReport, PipelineError> {
+        let (method, day) = (spec.method, spec.day);
+        match &spec.faults {
+            None => {
+                let query = AllocQuery::new(method, day).with_objective(spec.objective.clone());
+                let out = self.allocate(learners, &query)?;
+                let mut report = self.execute(method, day, out.allocation, out.overhead_s)?;
+                report.solver = out.certificate;
+                Ok(RunReport::Healthy(report))
+            }
+            Some((schedule, mode)) => {
+                let report =
+                    self.run_faulted(learners, method, day, schedule, *mode, &spec.objective)?;
+                Ok(RunReport::Faulted(Box::new(report)))
+            }
+        }
+    }
+
     /// Allocates with `method`, executes under the fault `schedule`, and —
     /// depending on `mode` — re-plans the orphaned tasks over the surviving
     /// processors and runs the recovery round (DESIGN.md §9).
     ///
-    /// The faulted round always runs with [`RetryPolicy::no_retry`]: at the
-    /// pipeline level the supervision loop owns loss handling, and giving
-    /// every [`RecoveryMode`] the *same* faulted round makes the three
-    /// reactions directly comparable (identical losses, different
-    /// responses). In-round timeout/redispatch retries remain an
-    /// `edgesim`-level facility configured via [`SimConfig::retry`].
-    ///
-    /// Note: superseded by [`Self::run`] with
-    /// `RunSpec::new(method, day).with_faults(schedule, mode)`; this thin
-    /// wrapper remains for source compatibility and delegates to the same
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] variants.
-    pub fn run_day_with_faults(
-        &mut self,
-        method: Method,
-        day: usize,
-        schedule: &FaultSchedule,
-        mode: RecoveryMode,
-    ) -> Result<FaultRunReport, PipelineError> {
-        match self.run(&RunSpec::new(method, day).with_faults(schedule.clone(), mode))? {
-            RunReport::Faulted(r) => Ok(*r),
-            RunReport::Healthy(_) => unreachable!("faulted spec produced a healthy report"),
-        }
-    }
-
-    /// Freezes this pipeline into a [`crate::shared::PreparedCore`] — the
-    /// `Send + Sync`, `&self`-only form a serving layer shares across
-    /// request threads. The core owns a clone of the scenario (no borrow to
-    /// keep alive) and retrains any lazily-cached CRL agents race-free with
-    /// the `pretrain` per-key seed formula, so for every method except
-    /// [`Method::RandomMapping`] its runs are bit-identical to this
-    /// pipeline's with `.pretrain(true)` (see the `shared` module docs for
-    /// the `RandomMapping` caveat).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CrlError`] from freezing the CRL allocators (e.g. an
-    /// empty environment store).
-    pub fn into_core(self) -> Result<crate::shared::PreparedCore, PipelineError> {
-        let mut base = TatimInstance::new(self.tasks.clone(), self.fleet.clone());
-        if self.config.crl.route_feature {
-            base = base.with_route_factors(self.route_factors.clone());
-        }
-        Ok(crate::shared::PreparedCore::from_parts(
-            Scenario::clone(self.scenario),
-            self.config,
-            self.models,
-            self.cluster,
-            self.fleet,
-            self.route_factors,
-            self.tasks,
-            self.true_importances,
-            self.crl.freeze(&base)?,
-            self.dcta.freeze(&base)?,
-            self.history,
-            self.cache,
-            self.availability.clone(),
-        ))
-    }
-
-    fn run_faulted_impl(
-        &mut self,
+    /// Reactive modes run the faulted round with [`RetryPolicy::no_retry`]:
+    /// the supervision loop owns loss handling, and giving every reactive
+    /// mode the *same* faulted round makes them directly comparable
+    /// (identical losses, different responses). In-round timeout/redispatch
+    /// retries remain an `edgesim`-level facility configured via
+    /// [`SimConfig::retry`].
+    fn run_faulted<L: Learners>(
+        &self,
+        learners: &mut L,
         method: Method,
         day: usize,
         schedule: &FaultSchedule,
@@ -1256,14 +1307,9 @@ impl<'a> PreparedPipeline<'a> {
         } else {
             base_objective.clone()
         };
-        let allocation = self
-            .allocate(&AllocQuery::new(method, day).with_objective(objective.clone()))?
-            .allocation;
-        let sim_tasks: Vec<SimTask> = self
-            .tasks
-            .iter()
-            .map(|t| SimTask::new(t.input_bits(), self.config.result_bits, t.resource_demand()))
-            .collect::<Result<_, _>>()?;
+        let query = AllocQuery::new(method, day).with_objective(objective.clone());
+        let allocation = self.allocate(learners, &query)?.allocation;
+        let sim_tasks = self.sim_tasks()?;
         let node_assignment = allocation.to_node_assignment(&self.fleet);
 
         // The fault-free reference: what this allocation delivers on a
@@ -1333,7 +1379,7 @@ impl<'a> PreparedPipeline<'a> {
                     budget,
                     &self.availability,
                     &self.config.proactive,
-                    proactive_draw_seed(self.config.proactive.seed ^ self.config.seed, day as u64),
+                    self.draw_seed(day),
                 )?,
                 RecoveryMode::RandomShed => recovery::replan_random_shed(
                     &instance,
@@ -1359,30 +1405,25 @@ impl<'a> PreparedPipeline<'a> {
             }
         }
 
-        // Proactive runs learn: the round's failure history becomes an
-        // exposure observation and the posterior advances one round. The
-        // other modes leave the model untouched, so reactive arms of a
-        // sweep stay bit-identical to their pre-availability behaviour.
-        if mode == RecoveryMode::Proactive {
+        // A learning form's Proactive runs fold the round's failure history
+        // into the posterior as an exposure observation and advance it one
+        // round. The other modes leave the model untouched, so reactive
+        // arms of a sweep stay bit-identical to their pre-availability
+        // behaviour.
+        if L::LEARNS_AVAILABILITY && mode == RecoveryMode::Proactive {
             let nodes: Vec<NodeId> = self.fleet.processors().iter().map(|p| p.node).collect();
             let horizon = faulted.processing_time.max(1e-9);
             self.availability.absorb(&node_exposures(&faulted.failures, &nodes, horizon));
             self.availability.advance_round();
         }
 
-        let evaluator =
-            ImportanceEvaluator::new(self.scenario, &self.models).with_cache(&self.cache);
+        let (evaluator, ctx) = (self.evaluator(), self.scenario().day(day));
         let scheduled_mask: Vec<bool> =
             (0..n).map(|j| allocation.processor_of(j).is_some()).collect();
-        let healthy_decision_performance =
-            evaluator.decision_performance(self.scenario.day(day), &scheduled_mask)?;
-        let decision_performance =
-            evaluator.decision_performance(self.scenario.day(day), &delivered_mask)?;
-        let importance_of = |mask: &[bool]| -> f64 {
-            mask.iter().zip(&self.true_importances[day]).filter(|(&m, _)| m).map(|(_, &i)| i).sum()
-        };
-        let healthy_importance = importance_of(&scheduled_mask);
-        let delivered_importance = importance_of(&delivered_mask);
+        let healthy_decision_performance = evaluator.decision_performance(ctx, &scheduled_mask)?;
+        let decision_performance = evaluator.decision_performance(ctx, &delivered_mask)?;
+        let healthy_importance = self.importance_of(day, &scheduled_mask);
+        let delivered_importance = self.importance_of(day, &delivered_mask);
         let retained_fraction =
             if healthy_importance <= 0.0 { 1.0 } else { delivered_importance / healthy_importance };
         let lost: Vec<usize> =
@@ -1443,6 +1484,10 @@ mod tests {
         }
     }
 
+    fn run_healthy(prepared: &mut PreparedPipeline<'_>, method: Method, day: usize) -> DayReport {
+        prepared.run(&RunSpec::new(method, day)).unwrap().into_healthy().unwrap()
+    }
+
     #[test]
     fn prepare_validates_day_budget() {
         let s = small_scenario();
@@ -1459,10 +1504,10 @@ mod tests {
         assert!(prepared.cluster().mesh().is_some(), "cluster should be a mesh");
         assert_eq!(prepared.cluster().nodes().len(), 16);
         let day = prepared.test_days().start;
-        let a = prepared.run_day(Method::Dcta, day).unwrap();
+        let a = run_healthy(&mut prepared, Method::Dcta, day);
         assert!(a.processing_time_s > 0.0);
         // Same prepared state, same day: mesh rounds are deterministic.
-        let b = prepared.run_day(Method::Dcta, day).unwrap();
+        let b = run_healthy(&mut prepared, Method::Dcta, day);
         assert_eq!(a.processing_time_s.to_bits(), b.processing_time_s.to_bits());
     }
 
@@ -1479,7 +1524,7 @@ mod tests {
             Method::Crl,
             Method::Dcta,
         ] {
-            let r = prepared.run_day(method, day).unwrap();
+            let r = run_healthy(&mut prepared, method, day);
             assert_eq!(r.method, method);
             assert!(r.processing_time_s > 0.0, "{method}: PT = {}", r.processing_time_s);
             assert!((0.0..=1.0).contains(&r.decision_performance), "{method}");
@@ -1492,9 +1537,9 @@ mod tests {
         let s = small_scenario();
         let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let day = prepared.test_days().start;
-        let rm = prepared.run_day(Method::RandomMapping, day).unwrap();
-        let dml = prepared.run_day(Method::Dml, day).unwrap();
-        let oracle = prepared.run_day(Method::GreedyOracle, day).unwrap();
+        let rm = run_healthy(&mut prepared, Method::RandomMapping, day);
+        let dml = run_healthy(&mut prepared, Method::Dml, day);
+        let oracle = run_healthy(&mut prepared, Method::GreedyOracle, day);
         assert_eq!(rm.scheduled, s.num_tasks());
         assert_eq!(dml.scheduled, s.num_tasks());
         assert!(oracle.scheduled < s.num_tasks(), "oracle must select a subset");
@@ -1505,8 +1550,8 @@ mod tests {
         let s = small_scenario();
         let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let day = prepared.test_days().start;
-        let rm = prepared.run_day(Method::RandomMapping, day).unwrap();
-        let dcta = prepared.run_day(Method::Dcta, day).unwrap();
+        let rm = run_healthy(&mut prepared, Method::RandomMapping, day);
+        let dcta = run_healthy(&mut prepared, Method::Dcta, day);
         assert!(
             dcta.processing_time_s < rm.processing_time_s,
             "DCTA {} vs RM {}",
@@ -1535,15 +1580,10 @@ mod tests {
     fn bad_day_rejected() {
         let s = small_scenario();
         let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
-        assert!(matches!(prepared.run_day(Method::Dml, 0), Err(PipelineError::BadDay { .. })));
-        assert!(matches!(prepared.run_day(Method::Dml, 999), Err(PipelineError::BadDay { .. })));
-    }
-
-    #[test]
-    fn convenience_run_day_uses_dcta() {
-        let s = small_scenario();
-        let r = Pipeline::new(quick_config()).run_day(&s, 0).unwrap();
-        assert_eq!(r.method, Method::Dcta);
+        for day in [0, 999] {
+            let r = prepared.run(&RunSpec::new(Method::Dml, day));
+            assert!(matches!(r, Err(PipelineError::BadDay { .. })));
+        }
     }
 
     #[test]
@@ -1554,8 +1594,8 @@ mod tests {
         let mut dcta_total = 0.0;
         for day in prepared.test_days() {
             oracle_total +=
-                prepared.run_day(Method::GreedyOracle, day).unwrap().captured_importance;
-            dcta_total += prepared.run_day(Method::Dcta, day).unwrap().captured_importance;
+                run_healthy(&mut prepared, Method::GreedyOracle, day).captured_importance;
+            dcta_total += run_healthy(&mut prepared, Method::Dcta, day).captured_importance;
         }
         assert!(oracle_total + 1e-9 >= dcta_total * 0.8, "oracle {oracle_total} dcta {dcta_total}");
     }
@@ -1594,6 +1634,21 @@ mod fault_tests {
         }
     }
 
+    fn run_healthy(prepared: &mut PreparedPipeline<'_>, method: Method, day: usize) -> DayReport {
+        prepared.run(&RunSpec::new(method, day)).unwrap().into_healthy().unwrap()
+    }
+
+    fn run_faulted(
+        prepared: &mut PreparedPipeline<'_>,
+        method: Method,
+        day: usize,
+        schedule: &FaultSchedule,
+        mode: RecoveryMode,
+    ) -> FaultRunReport {
+        let spec = RunSpec::new(method, day).with_faults(schedule.clone(), mode);
+        prepared.run(&spec).unwrap().into_faulted().unwrap()
+    }
+
     /// The worker hosting the most scheduled tasks — guaranteed to orphan
     /// work when crashed early in the round.
     fn busiest_node(prepared: &PreparedPipeline<'_>, allocation: &Allocation) -> NodeId {
@@ -1610,19 +1665,17 @@ mod fault_tests {
         let s = small_scenario();
         let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let day = prepared.test_days().start;
-        let healthy = prepared.run_day(Method::GreedyOracle, day).unwrap();
+        let healthy = run_healthy(&mut prepared, Method::GreedyOracle, day);
         let alloc =
             prepared.allocate(&AllocQuery::new(Method::GreedyOracle, day)).unwrap().allocation;
         let victim = busiest_node(&prepared, &alloc);
         let schedule =
             FaultSchedule::new().with_crash(victim, healthy.processing_time_s * 0.1).unwrap();
 
-        let resolve = prepared
-            .run_day_with_faults(Method::GreedyOracle, day, &schedule, RecoveryMode::Resolve)
-            .unwrap();
-        let none = prepared
-            .run_day_with_faults(Method::GreedyOracle, day, &schedule, RecoveryMode::None)
-            .unwrap();
+        let resolve =
+            run_faulted(&mut prepared, Method::GreedyOracle, day, &schedule, RecoveryMode::Resolve);
+        let none =
+            run_faulted(&mut prepared, Method::GreedyOracle, day, &schedule, RecoveryMode::None);
 
         assert!(!resolve.failures.is_empty(), "crash left no trace");
         assert_eq!(resolve.down_at_end, vec![victim]);
@@ -1660,14 +1713,11 @@ mod fault_tests {
             let node = prepared.fleet().node_of(col);
             schedule = schedule.with_crash(node, 0.2).unwrap();
         }
-        let resolve = prepared
-            .run_day_with_faults(Method::Dml, day, &schedule, RecoveryMode::Resolve)
-            .unwrap();
-        let random = prepared
-            .run_day_with_faults(Method::Dml, day, &schedule, RecoveryMode::RandomShed)
-            .unwrap();
-        let none =
-            prepared.run_day_with_faults(Method::Dml, day, &schedule, RecoveryMode::None).unwrap();
+        let resolve =
+            run_faulted(&mut prepared, Method::Dml, day, &schedule, RecoveryMode::Resolve);
+        let random =
+            run_faulted(&mut prepared, Method::Dml, day, &schedule, RecoveryMode::RandomShed);
+        let none = run_faulted(&mut prepared, Method::Dml, day, &schedule, RecoveryMode::None);
 
         assert!(!resolve.shed.is_empty(), "survivor hosted everything; no shedding exercised");
         // Shed list is reported least-important first.
@@ -1687,11 +1737,9 @@ mod fault_tests {
     fn fault_runs_check_the_day_range() {
         let s = small_scenario();
         let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
-        let schedule = FaultSchedule::new();
-        assert!(matches!(
-            prepared.run_day_with_faults(Method::Dml, 0, &schedule, RecoveryMode::Resolve),
-            Err(PipelineError::BadDay { .. })
-        ));
+        let spec =
+            RunSpec::new(Method::Dml, 0).with_faults(FaultSchedule::new(), RecoveryMode::Resolve);
+        assert!(matches!(prepared.run(&spec), Err(PipelineError::BadDay { .. })));
     }
 
     #[test]
@@ -1699,9 +1747,13 @@ mod fault_tests {
         let s = small_scenario();
         let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let day = prepared.test_days().start;
-        let r = prepared
-            .run_day_with_faults(Method::Dml, day, &FaultSchedule::new(), RecoveryMode::Resolve)
-            .unwrap();
+        let r = run_faulted(
+            &mut prepared,
+            Method::Dml,
+            day,
+            &FaultSchedule::new(),
+            RecoveryMode::Resolve,
+        );
         assert_eq!(r.retained_fraction, 1.0);
         assert!(r.failures.is_empty());
         assert!(r.lost.is_empty());
@@ -1742,12 +1794,12 @@ mod online_tests {
         .prepare(&s)
         .unwrap();
         let day = prepared.test_days().start;
-        assert_eq!(prepared.crl.store_len(), 4);
+        assert_eq!(prepared.learners.crl.store_len(), 4);
         prepared.observe_day(day).unwrap();
-        assert_eq!(prepared.crl.store_len(), 5);
+        assert_eq!(prepared.learners.crl.store_len(), 5);
         // Out-of-range observation is rejected.
         assert!(matches!(prepared.observe_day(0), Err(PipelineError::BadDay { .. })));
         // Allocation still works with the grown store.
-        assert!(prepared.run_day(Method::Crl, day + 1).is_ok());
+        assert!(prepared.run(&RunSpec::new(Method::Crl, day + 1)).is_ok());
     }
 }
